@@ -1,15 +1,11 @@
-"""Shard scaling benchmark — multi-process fan-out + vectorized decode.
+"""Shard scaling benchmark — multi-process fan-out.
 
-Writes ``BENCH_shards.json`` with the two curves the scale-out layer is
-judged on:
-
-- **worker scaling**: one fixed shard plan at workers {1, 2, 4, 8}.  The
-  determinism half of the bar (merged payload bit-identical at every
-  count) is asserted unconditionally; the wall-clock half (≥ 2x at 4
-  workers) only where the host actually has 4 CPUs to scale onto.
-- **batch decode**: vectorized vs scalar decode over 1k pipeline
-  requests.  The ≥ 3x bar is algorithmic — shared-prefix parses and
-  few-shot fits amortize across the batch — so it holds on any host.
+Writes ``BENCH_shards.json`` with the worker-scaling curve: one fixed
+shard plan at workers {1, 2, 4, 8}.  The determinism half of the bar
+(merged payload bit-identical at every count) is asserted
+unconditionally; the wall-clock half (≥ 2x at 4 workers) only where the
+host actually has 4 CPUs to scale onto.  The decode speedup bar lives in
+``benchmarks/test_decode.py``.
 """
 
 import json
@@ -25,7 +21,7 @@ from repro.shard.bench import render_bench
 OUT_PATH = Path("BENCH_shards.json")
 
 
-def test_shard_scaling_and_decode(benchmark, seed):
+def test_shard_scaling(benchmark, seed):
     payload = run_once(
         benchmark,
         run_shard_bench,
@@ -33,7 +29,6 @@ def test_shard_scaling_and_decode(benchmark, seed):
         size=240,
         n_shards=8,
         worker_counts=(1, 2, 4, 8),
-        decode_n=1000,
         seed=seed,
     )
 
@@ -46,16 +41,10 @@ def test_shard_scaling_and_decode(benchmark, seed):
     )
     assert [run["workers"] for run in scaling["runs"]] == [1, 2, 4, 8]
 
-    decode = payload["decode"]
-    assert decode["identical"], "vectorized decode diverged from scalar"
-    assert decode["speedup"] >= 3.0, (
-        f"batch decode speedup {decode['speedup']:.2f}x is below the 3x bar"
-    )
-
     # the written report carries the same numbers the harness returned
     report = json.loads(OUT_PATH.read_text(encoding="utf-8"))
     assert report["scaling"]["identical"] is True
-    assert report["decode"]["speedup"] == decode["speedup"]
+    assert report["scaling"]["runs"] == scaling["runs"]
 
 
 @pytest.mark.skipif(
@@ -70,7 +59,6 @@ def test_four_workers_double_throughput(benchmark, seed):
         size=240,
         n_shards=8,
         worker_counts=(1, 4),
-        decode_n=10,
         seed=seed,
     )
     runs = {run["workers"]: run for run in payload["scaling"]["runs"]}

@@ -83,6 +83,10 @@ class Schema:
                     f"duplicate attribute {attr.name!r} in schema {self.name!r}"
                 )
             seen.add(attr.name)
+        # Not a dataclass field: stays out of eq/hash/repr and ``asdict``.
+        object.__setattr__(
+            self, "_attribute_names", tuple(a.name for a in self.attributes)
+        )
 
     @classmethod
     def from_names(
@@ -104,7 +108,7 @@ class Schema:
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
+        return self._attribute_names
 
     def __len__(self) -> int:
         return len(self.attributes)

@@ -16,7 +16,7 @@ Usage::
     python -m repro.eval resilience-bench [--out BENCH_resilience.json]
                                           [--size 360] [--concurrency 4]
     python -m repro.eval shard-bench [--out BENCH_shards.json]
-                                     [--size 240] [--decode-n 1000]
+                                     [--size 240] [--workers 1 2 4 8]
     python -m repro.eval trace manifest.json [--chrome out.trace.json]
     python -m repro.eval golden [--update] [--cell NAME] [--store DIR]
     python -m repro.eval serve-bench [--requests 200000] [--tenants 3]
@@ -619,7 +619,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    """Measure the shard scaling curve and the batch-decode speedup."""
+    """Measure the shard scaling curve."""
     from repro.shard.bench import render_bench, run_shard_bench
 
     payload = run_shard_bench(
@@ -627,19 +627,15 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
         size=args.size,
         n_shards=args.shards,
         worker_counts=tuple(args.workers),
-        decode_n=args.decode_n,
         dataset=args.dataset,
         model=args.model,
         seed=args.seed,
     )
     print(render_bench(payload))
     print(f"report written to {args.out}")
-    identical = (
-        payload["scaling"]["identical"] and payload["decode"]["identical"]
-    )
-    if not identical:
+    if not payload["scaling"]["identical"]:
         print(
-            "error: sharded/vectorized results diverged from the reference",
+            "error: sharded results diverged across worker counts",
             file=sys.stderr,
         )
         return 1
@@ -927,8 +923,7 @@ def main(argv: list[str] | None = None) -> int:
     flow_cmd.set_defaults(handler=_cmd_flow)
     shard_bench_cmd = sub.add_parser(
         "shard-bench",
-        help="measure the worker scaling curve and the vectorized "
-             "batch-decode speedup; writes BENCH_shards.json",
+        help="measure the worker scaling curve; writes BENCH_shards.json",
     )
     shard_bench_cmd.add_argument("--out", default="BENCH_shards.json",
                                  help="where to write the benchmark report")
@@ -938,8 +933,6 @@ def main(argv: list[str] | None = None) -> int:
     shard_bench_cmd.add_argument("--workers", type=int, nargs="+",
                                  default=[1, 2, 4, 8],
                                  help="worker counts to sweep")
-    shard_bench_cmd.add_argument("--decode-n", type=int, default=1000,
-                                 help="requests in the decode microbench")
     shard_bench_cmd.add_argument("--dataset", default="adult")
     shard_bench_cmd.add_argument("--model", default="gpt-3.5")
     shard_bench_cmd.add_argument("--seed", type=int, default=0)

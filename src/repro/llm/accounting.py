@@ -96,8 +96,8 @@ def meter_response(
     """Build a fully metered response for ``text`` answering ``request``.
 
     ``prompt_tokens`` lets a caller that already counted the transcript
-    (the vectorized decode path memoizes per-message counts) skip the
-    recount; when given it must equal ``request_prompt_tokens(request)``.
+    (the simulated decode memoizes its prefix counts) skip the recount;
+    when given it must equal ``request_prompt_tokens(request)``.
     """
     prompt = (
         request_prompt_tokens(request) if prompt_tokens is None

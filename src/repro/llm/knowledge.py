@@ -77,6 +77,9 @@ class KnowledgeBase:
         self._model = model
         self._coverage = coverage
         self._concept_coverage = concept_coverage
+        #: domain table name -> :meth:`domain_of` result, a pure function
+        #: of (model, attribute, coverage); at most one entry per table
+        self._domains: dict[str, frozenset[str] | None] = {}
 
     # -- geography ---------------------------------------------------------
 
@@ -183,15 +186,16 @@ class KnowledgeBase:
         table = self._domain_tables().get(attribute)
         if table is None:
             return None
-        # Small closed domains (sex, income brackets) are universally known;
-        # coverage only thins out large vocabularies.
-        coverage = min(1.0, self._coverage + 0.04 + 2.0 / len(table))
-        known = frozenset(
-            value
-            for value in table
-            if _knows(self._model, f"domain:{attribute}:{value}", coverage)
-        )
-        return known if known else None
+        if attribute not in self._domains:
+            # Small closed domains (sex, income brackets) are universally
+            # known; coverage only thins out large vocabularies.
+            coverage = min(1.0, self._coverage + 0.04 + 2.0 / len(table))
+            self._domains[attribute] = frozenset(
+                value
+                for value in table
+                if _knows(self._model, f"domain:{attribute}:{value}", coverage)
+            ) or None
+        return self._domains[attribute]
 
     @staticmethod
     @lru_cache(maxsize=1)

@@ -17,6 +17,7 @@ from repro.core.contextualize import parse_record_pair, parse_serialized_record
 from repro.data.instances import Task
 from repro.errors import LLMError
 from repro.llm.base import CompletionRequest
+from repro.text.tokenize import count_tokens
 
 _TARGET_RE = re.compile(r'the "([^"]+)" attribute')
 _QUESTION_RE = re.compile(r"^\s*Question\s+(\d+)\s*:\s*(.*)$")
@@ -83,23 +84,26 @@ class _ParsedSystem:
 
 
 class PromptParseMemo:
-    """A cross-request memo amortizing prompt parsing over a batch.
+    """The shared-prefix memo every decode goes through.
 
-    Batched runs send hundreds of requests that share almost their entire
-    transcript: the same system instruction and the same few-shot
-    demonstration block, with only the final question block changing.
-    Scalar decoding re-parses that shared prefix for every request; the
-    memo parses each distinct block **once** and replays the result.
+    The framework's requests share almost their whole transcript: the same
+    system instruction and the same few-shot demonstration block, with
+    only the final question block changing.  The memo parses each distinct
+    prefix block **once** and replays the result, together with the token
+    counts of the prefix messages and the solvers' few-shot fits.
 
-    Losslessness is structural: every cached function —
-    :func:`_detect_task` and friends over the system text,
-    :func:`_parse_examples` over one (user, assistant) message pair,
-    :func:`_questions_in` over one user message, and the token counts in
-    :mod:`repro.text.tokenize` — is a pure function of the message
-    *content*, and the cache key is exactly that content.  A memoized
-    parse therefore returns the same value the scalar path computes, so
-    ``SimulatedLLM(decode="vectorized")`` is bit-identical to the scalar
-    reference (property-tested in ``tests/llm/test_batch_decode.py``).
+    The bound is structural: entries are keyed by prefix content only
+    (system text, (user, assistant) demonstration pairs, prefix message
+    text, role names, fit keys built from example content), so the memo
+    holds one entry per *distinct prefix* and never one per batch.  The final user
+    message of a request -- its question block -- is parsed and counted
+    afresh on every call and never enters the memo.
+
+    Losslessness is structural too: every cached function is a pure,
+    RNG-free function of message content given the owning client's fixed
+    profile and knowledge base, and the key is exactly that content.  A
+    warm memo therefore returns what a cold one computes (checked against
+    the from-scratch reference parse in ``tests/llm/test_batch_decode.py``).
 
     All cached values are frozen dataclasses (or tuples of them), shared
     safely across the :class:`ParsedPrompt` results, which keep their own
@@ -109,176 +113,157 @@ class PromptParseMemo:
     def __init__(self) -> None:
         self._systems: dict[str, _ParsedSystem] = {}
         self._examples: dict[tuple, tuple[ParsedExample, ...]] = {}
-        self._questions: dict[tuple, tuple[ParsedQuestion, ...]] = {}
         self._token_counts: dict[str, int] = {}
         self._fits: dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
 
-    # -- block-level caches ----------------------------------------------
+    def entry_counts(self) -> dict[str, int]:
+        """Entries per cache; bounded by the distinct prefixes seen."""
+        return {
+            "systems": len(self._systems),
+            "examples": len(self._examples),
+            "token_counts": len(self._token_counts),
+            "fits": len(self._fits),
+        }
+
+    def _cached(self, cache: dict, key, compute):
+        value = cache.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = cache[key] = compute()
+        return value
 
     def system(self, system: str) -> _ParsedSystem:
-        cached = self._systems.get(system)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        task = _detect_task(system)
-        target = _detect_target(system, task)
-        cached = _ParsedSystem(
-            task=task,
-            reasoning="in two lines" in system,
-            confirm_target="confirm the target attribute" in system,
-            target=target,
-            type_hint=_detect_type_hint(system, target),
+        return self._cached(
+            self._systems, system, lambda: _parse_system(system)
         )
-        self._systems[system] = cached
-        return cached
 
     def example_pair(
         self, user: str, assistant: str, task: Task
     ) -> tuple[ParsedExample, ...]:
-        key = (task, user, assistant)
-        cached = self._examples.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        questions = {q.number: q for q in _questions_in(user, task)}
-        answers = _answers_in(assistant)
-        cached = tuple(
-            ParsedExample(question=question, answer=answers[number])
-            for number, question in sorted(questions.items())
-            if number in answers
+        return self._cached(
+            self._examples, (task, user, assistant),
+            lambda: _parse_example_pair(user, assistant, task),
         )
-        self._examples[key] = cached
-        return cached
-
-    def questions(self, text: str, task: Task) -> tuple[ParsedQuestion, ...]:
-        key = (task, text)
-        cached = self._questions.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        cached = tuple(_questions_in(text, task))
-        self._questions[key] = cached
-        return cached
-
-    # -- solver fit cache -------------------------------------------------
 
     def fit(self, key: tuple, compute):
         """Memoize a solver's few-shot fit (thresholds, attribute weights).
 
         A batch's requests all carry the same few-shot block, and every
-        solver re-derives its decision criteria from that block before
-        answering — deterministically (no RNG touches the fit), from the
+        solver derives its decision criteria from that block before
+        answering -- deterministically (no RNG touches the fit), from the
         example *content* plus the client's fixed profile and knowledge
         base.  The memo lives inside one client, so profile and knowledge
         are constant across its entries and ``key`` only needs to carry
         the solver tag and the example content.
         """
-        cached = self._fits.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        cached = compute()
-        self._fits[key] = cached
-        return cached
-
-    # -- token metering ---------------------------------------------------
+        return self._cached(self._fits, key, compute)
 
     def count_tokens(self, text: str) -> int:
-        """Memoized :func:`repro.text.tokenize.count_tokens`."""
-        cached = self._token_counts.get(text)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        from repro.text.tokenize import count_tokens
-
-        self.misses += 1
-        cached = count_tokens(text)
-        self._token_counts[text] = cached
-        return cached
+        """Memoized :func:`repro.text.tokenize.count_tokens`, for prefix
+        text only."""
+        return self._cached(
+            self._token_counts, text, lambda: count_tokens(text)
+        )
 
     def prompt_tokens(self, request: CompletionRequest) -> int:
         """Transcript token count, identical to
         :func:`repro.llm.accounting.request_prompt_tokens` by construction
-        (same per-message formula, memoized per content block)."""
+        (same per-message formula).  Roles and the messages before the
+        final user message are counted through the memo; the rest
+        directly."""
+        final = _final_user_index(request.messages)
         total = 3
-        for role, content in request.transcript:
-            total += 4
-            total += self.count_tokens(role)
-            total += self.count_tokens(content)
+        for index, (role, content) in enumerate(request.transcript):
+            total += 4 + self.count_tokens(role)
+            if index < final:
+                total += self.count_tokens(content)
+            else:
+                total += count_tokens(content)
         return total
 
 
 def parse_prompt(
-    request: CompletionRequest, memo: PromptParseMemo | None = None
+    request: CompletionRequest, memo: PromptParseMemo
 ) -> ParsedPrompt:
     """Parse a framework-built chat transcript.
 
     Raises :class:`LLMError` for prompts the simulated model cannot make
-    sense of (no task instruction, no questions) — the moral equivalent of
+    sense of (no task instruction, no questions) -- the moral equivalent of
     a model answering garbage to a garbage prompt, made loud.
 
-    With ``memo`` set, distinct system / few-shot / question blocks are
-    parsed once and replayed from the memo (see :class:`PromptParseMemo`);
-    the result is identical to the memo-less parse.
+    The system text and the demonstration pairs before the final user
+    message go through ``memo``; the final user message (the questions to
+    answer) is parsed directly.
     """
     system_texts = [m.content for m in request.messages if m.role == "system"]
     if not system_texts:
         raise LLMError("prompt has no system message")
-    system = "\n".join(system_texts)
-
-    if memo is not None:
-        parsed_system = memo.system(system)
-        task = parsed_system.task
-        messages = list(request.messages)
-        examples: list[ParsedExample] = []
-        for i, message in enumerate(messages[:-1]):
-            if message.role == "user" and messages[i + 1].role == "assistant":
-                examples.extend(
-                    memo.example_pair(
-                        message.content, messages[i + 1].content, task
-                    )
-                )
-        questions: list[ParsedQuestion] = []
-        for message in reversed(messages):
-            if message.role == "user":
-                questions = list(memo.questions(message.content, task))
-                break
-        if not questions:
-            raise LLMError("prompt contains no questions to answer")
-        return ParsedPrompt(
-            task=task,
-            reasoning=parsed_system.reasoning,
-            target_attribute=parsed_system.target,
-            confirm_target=parsed_system.confirm_target,
-            type_hint=parsed_system.type_hint,
-            examples=examples,
-            questions=questions,
-        )
-
-    task = _detect_task(system)
-    reasoning = "in two lines" in system
-    confirm_target = "confirm the target attribute" in system
-    target = _detect_target(system, task)
-    type_hint = _detect_type_hint(system, target)
-
-    examples = _parse_examples(request, task)
-    questions = _parse_final_questions(request, task)
+    parsed_system = memo.system("\n".join(system_texts))
+    task = parsed_system.task
+    messages = request.messages
+    final = _final_user_index(messages)
+    examples: list[ParsedExample] = []
+    for i, message in enumerate(messages[:-1]):
+        if message.role == "user" and messages[i + 1].role == "assistant":
+            user, assistant = message.content, messages[i + 1].content
+            examples.extend(
+                memo.example_pair(user, assistant, task) if i < final
+                else _parse_example_pair(user, assistant, task)
+            )
+    questions = (
+        _questions_in(messages[final].content, task)
+        if final < len(messages) else []
+    )
     if not questions:
         raise LLMError("prompt contains no questions to answer")
     return ParsedPrompt(
         task=task,
-        reasoning=reasoning,
-        target_attribute=target,
-        confirm_target=confirm_target,
-        type_hint=type_hint,
+        reasoning=parsed_system.reasoning,
+        target_attribute=parsed_system.target,
+        confirm_target=parsed_system.confirm_target,
+        type_hint=parsed_system.type_hint,
         examples=examples,
         questions=questions,
+    )
+
+
+def _final_user_index(messages) -> int:
+    """Index of the last user message (the question block), or
+    ``len(messages)`` when there is none; everything before it is the
+    shared prefix."""
+    for index in range(len(messages) - 1, -1, -1):
+        if messages[index].role == "user":
+            return index
+    return len(messages)
+
+
+def _parse_system(system: str) -> _ParsedSystem:
+    task = _detect_task(system)
+    target = _detect_target(system, task)
+    return _ParsedSystem(
+        task=task,
+        reasoning="in two lines" in system,
+        confirm_target="confirm the target attribute" in system,
+        target=target,
+        type_hint=_detect_type_hint(system, target),
+    )
+
+
+def _parse_example_pair(
+    user: str, assistant: str, task: Task
+) -> tuple[ParsedExample, ...]:
+    """The demonstrations in one (user, assistant) message pair: each
+    question paired with its answer, in question-number order."""
+    questions = {q.number: q for q in _questions_in(user, task)}
+    answers = _answers_in(assistant)
+    return tuple(
+        ParsedExample(question=question, answer=answers[number])
+        for number, question in sorted(questions.items())
+        if number in answers
     )
 
 
@@ -357,34 +342,3 @@ def _answers_in(text: str) -> dict[int, str]:
     if current is not None and buffer:
         answers[current] = buffer[-1]
     return answers
-
-
-def _parse_examples(
-    request: CompletionRequest, task: Task
-) -> list[ParsedExample]:
-    """Pair up user questions with the following assistant answers."""
-    examples: list[ParsedExample] = []
-    messages = list(request.messages)
-    for i, message in enumerate(messages[:-1]):
-        if message.role != "user" or messages[i + 1].role != "assistant":
-            continue
-        questions = {
-            q.number: q for q in _questions_in(message.content, task)
-        }
-        answers = _answers_in(messages[i + 1].content)
-        for number, question in sorted(questions.items()):
-            if number in answers:
-                examples.append(
-                    ParsedExample(question=question, answer=answers[number])
-                )
-    return examples
-
-
-def _parse_final_questions(
-    request: CompletionRequest, task: Task
-) -> list[ParsedQuestion]:
-    """The questions of the last user message (the batch to answer)."""
-    for message in reversed(request.messages):
-        if message.role == "user":
-            return _questions_in(message.content, task)
-    return []

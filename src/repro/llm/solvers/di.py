@@ -34,7 +34,7 @@ class DISolver:
     """Answers "what is the missing value?" questions."""
 
     def __init__(self, profile: ModelProfile, knowledge: KnowledgeBase,
-                 rng: random.Random, temperature: float, memo=None):
+                 rng: random.Random, temperature: float, memo):
         self._profile = profile
         self._knowledge = knowledge
         self._rng = rng

@@ -34,7 +34,6 @@ from repro.llm.solvers.common import (
     ThresholdFit,
     default_threshold,
     examples_key,
-    memoized_fit,
     noisy,
 )
 from repro.text.similarity import levenshtein
@@ -51,7 +50,7 @@ class EDSolver:
     """Answers "is there an error in the target cell?" questions."""
 
     def __init__(self, profile: ModelProfile, knowledge: KnowledgeBase,
-                 rng: random.Random, temperature: float, memo=None):
+                 rng: random.Random, temperature: float, memo):
         self._profile = profile
         self._knowledge = knowledge
         self._rng = rng
@@ -230,8 +229,7 @@ class EDSolver:
     def solve(self, prompt: ParsedPrompt) -> list[SolvedAnswer]:
         target = prompt.target_attribute or ""
         careful = prompt.reasoning
-        fit = memoized_fit(
-            self._memo,
+        fit = self._memo.fit(
             ("ed", target, careful, examples_key(prompt.examples)),
             lambda: self._fit_threshold(prompt.examples, target, careful),
         )

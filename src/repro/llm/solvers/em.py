@@ -28,7 +28,6 @@ from repro.llm.solvers.common import (
     ThresholdFit,
     default_threshold,
     examples_key,
-    memoized_fit,
     noisy,
 )
 from repro.text.normalize import expand_abbreviations, extract_phone, normalize_text
@@ -153,7 +152,7 @@ class EMSolver:
     """Answers "are these the same entity?" questions."""
 
     def __init__(self, profile: ModelProfile, knowledge: KnowledgeBase,
-                 rng: random.Random, temperature: float, memo=None):
+                 rng: random.Random, temperature: float, memo):
         self._profile = profile
         self._knowledge = knowledge
         self._rng = rng
@@ -161,8 +160,7 @@ class EMSolver:
         self._memo = memo
 
     def solve(self, prompt: ParsedPrompt) -> list[SolvedAnswer]:
-        weights, fit = memoized_fit(
-            self._memo,
+        weights, fit = self._memo.fit(
             ("em", prompt.reasoning, examples_key(prompt.examples)),
             lambda: self._fit(prompt.examples, prompt.reasoning),
         )

@@ -25,7 +25,6 @@ from repro.llm.solvers.common import (
     ThresholdFit,
     default_threshold,
     examples_key,
-    memoized_fit,
     noisy,
 )
 from repro.text.similarity import jaccard, token_set_ratio
@@ -63,7 +62,7 @@ class SMSolver:
     """Answers "are these the same attribute?" questions."""
 
     def __init__(self, profile: ModelProfile, knowledge: KnowledgeBase,
-                 rng: random.Random, temperature: float, memo=None):
+                 rng: random.Random, temperature: float, memo):
         self._profile = profile
         self._knowledge = knowledge
         self._rng = rng
@@ -85,8 +84,7 @@ class SMSolver:
         return score
 
     def solve(self, prompt: ParsedPrompt) -> list[SolvedAnswer]:
-        fit = memoized_fit(
-            self._memo,
+        fit = self._memo.fit(
             ("sm", examples_key(prompt.examples)),
             lambda: self._fit_threshold(prompt.examples),
         )

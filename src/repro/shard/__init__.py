@@ -37,11 +37,7 @@ from repro.shard.runner import (
     shard_dataset,
     shard_payload,
 )
-from repro.shard.bench import (
-    decode_microbench,
-    run_shard_bench,
-    shard_scaling_bench,
-)
+from repro.shard.bench import run_shard_bench, shard_scaling_bench
 
 __all__ = [
     "SHARD_CRASH_SITES",
@@ -55,7 +51,6 @@ __all__ = [
     "combine",
     "config_fingerprint",
     "dataset_digest",
-    "decode_microbench",
     "default_shard_count",
     "delta_of",
     "empty_delta",

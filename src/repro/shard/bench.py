@@ -1,18 +1,11 @@
 """The scaling benchmark behind ``BENCH_shards.json``.
 
-Two measurements, both of *host* wall-clock (the virtual-clock cost model
-is deliberately untouched by this PR — parallelism changes when work
-happens, never what it costs):
-
-- **shard scaling** — one fixed shard plan executed at several worker
-  counts; reports wall seconds and speedup per count, and checks the
-  merged payload digest is identical across all of them (the determinism
-  half of the scaling story is measured in the same breath as the speed
-  half).
-- **decode microbench** — the same request batch served by a scalar-decode
-  and a vectorized-decode :class:`~repro.llm.simulated.SimulatedLLM`;
-  reports the amortization speedup and verifies the replies match
-  text-for-text.
+**Shard scaling**, in *host* wall-clock (the virtual-clock cost model is
+untouched: parallelism changes when work happens, never what it costs):
+one fixed shard plan executed at several worker counts; reports wall
+seconds and speedup per count, and checks the merged payload digest is
+identical across all of them (the determinism half of the scaling story
+is measured in the same breath as the speed half).
 
 ``python -m repro.eval shard-bench`` and ``benchmarks/test_shards.py``
 both come through :func:`run_shard_bench`.
@@ -33,84 +26,6 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(
         canonical_json(payload).encode("utf-8")
     ).hexdigest()[:16]
-
-
-def build_decode_requests(
-    n: int = 1000,
-    dataset: str = "adult",
-    model: str = "gpt-3.5",
-    seed: int = 0,
-):
-    """``n`` realistic single-instance completion requests.
-
-    Realistic means what the pipeline actually sends: a shared system
-    instruction and few-shot demonstration block (the bulk of the prompt)
-    followed by one instance-specific question.  That shape is exactly
-    where vectorized decode wins — the shared prefix parses once.
-    """
-    from repro.core.config import PipelineConfig
-    from repro.core.prompts import PromptBuilder
-    from repro.core.tasks import target_attribute_of
-    from repro.datasets import load_dataset
-    from repro.llm.base import CompletionRequest
-
-    config = PipelineConfig(model=model, seed=seed)
-    data = load_dataset(dataset, size=n, seed=seed)
-    fewshot = data.sample_fewshot(config.fewshot_for(data.task), seed=seed)
-    builders: dict = {}
-    requests = []
-    instances = data.instances
-    for index in range(n):
-        instance = instances[index % len(instances)]
-        target = target_attribute_of(instance)
-        builder = builders.get(target)
-        if builder is None:
-            builder = PromptBuilder(
-                data.task, config, target_attribute=target
-            )
-            builders[target] = builder
-        prompt = builder.build([instance], fewshot_examples=fewshot)
-        requests.append(CompletionRequest(
-            messages=prompt.messages, model=model, temperature=0.75
-        ))
-    return requests
-
-
-def decode_microbench(
-    n: int = 1000,
-    dataset: str = "adult",
-    model: str = "gpt-3.5",
-    seed: int = 0,
-) -> dict:
-    """Scalar vs vectorized decode over the same ``n``-request batch."""
-    from repro.llm.simulated import SimulatedLLM
-
-    requests = build_decode_requests(n, dataset=dataset, model=model, seed=seed)
-
-    scalar = SimulatedLLM(model, seed=seed, decode="scalar")
-    started = time.perf_counter()
-    scalar_replies = scalar.complete_batch(requests)
-    scalar_s = time.perf_counter() - started
-
-    vectorized = SimulatedLLM(model, seed=seed, decode="vectorized")
-    started = time.perf_counter()
-    vectorized_replies = vectorized.complete_batch(requests)
-    vectorized_s = time.perf_counter() - started
-
-    identical = [r.text for r in scalar_replies] == [
-        r.text for r in vectorized_replies
-    ]
-    memo = vectorized.memo
-    return {
-        "n": n,
-        "dataset": dataset,
-        "model": model,
-        "scalar_s": scalar_s,
-        "vectorized_s": vectorized_s,
-        "speedup": scalar_s / vectorized_s if vectorized_s > 0 else 0.0,
-        "identical": identical,
-        "memo": {"hits": memo.hits, "misses": memo.misses},
-    }
 
 
 def shard_scaling_bench(
@@ -164,20 +79,17 @@ def run_shard_bench(
     size: int = 240,
     n_shards: int = 8,
     worker_counts: tuple[int, ...] = (1, 2, 4, 8),
-    decode_n: int = 1000,
     dataset: str = "adult",
     model: str = "gpt-3.5",
     seed: int = 0,
 ) -> dict:
-    """Run both measurements and write the artifact; returns the payload."""
+    """Run the scaling measurement and write the artifact; returns the
+    payload."""
     payload = {
         "host": {"cpu_count": os.cpu_count()},
         "scaling": shard_scaling_bench(
             dataset=dataset, size=size, model=model, seed=seed,
             n_shards=n_shards, worker_counts=tuple(worker_counts),
-        ),
-        "decode": decode_microbench(
-            n=decode_n, dataset=dataset, model=model, seed=seed
         ),
     }
     Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -198,11 +110,4 @@ def render_bench(payload: dict) -> str:
             f"  workers={run['workers']:>2}  wall={run['wall_s']:.2f}s  "
             f"speedup={run['speedup']:.2f}x"
         )
-    decode = payload["decode"]
-    lines.append(
-        f"batch decode — n={decode['n']}  scalar={decode['scalar_s']:.2f}s  "
-        f"vectorized={decode['vectorized_s']:.2f}s  "
-        f"speedup={decode['speedup']:.2f}x "
-        f"(identical={decode['identical']})"
-    )
     return "\n".join(lines)

@@ -257,14 +257,13 @@ class TestShardCli:
         assert main([
             "shard-bench", "--out", str(out_path),
             "--size", "40", "--shards", "2", "--workers", "1", "2",
-            "--decode-n", "50",
         ]) == 0
         printed = capsys.readouterr().out
-        assert "shard scaling" in printed and "batch decode" in printed
+        assert "shard scaling" in printed
         assert f"report written to {out_path}" in printed
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["scaling"]["identical"] is True
-        assert payload["decode"]["identical"] is True
+        assert "decode" not in payload
         assert [run["workers"] for run in payload["scaling"]["runs"]] == [1, 2]
 
     def test_flow_with_workers(self, capsys):

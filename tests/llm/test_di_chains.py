@@ -6,13 +6,15 @@ import pytest
 
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.profiles import get_profile
+from repro.llm.promptparse import PromptParseMemo
 from repro.llm.solvers.di import DISolver
 
 
 @pytest.fixture()
 def solver():
     knowledge = KnowledgeBase("oracle", coverage=1.0, concept_coverage=1.0)
-    return DISolver(get_profile("gpt-4"), knowledge, random.Random(0), 0.65)
+    return DISolver(get_profile("gpt-4"), knowledge, random.Random(0), 0.65,
+                    PromptParseMemo())
 
 
 class TestInferenceChains:

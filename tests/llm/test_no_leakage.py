@@ -133,12 +133,13 @@ class TestEvidenceDependence:
 class TestStructuralIsolation:
     def test_solver_inputs_carry_no_labels(self, beer_dataset):
         """The parsed prompt structure has no label field at all."""
-        from repro.llm.promptparse import parse_prompt
+        from repro.llm.promptparse import PromptParseMemo, parse_prompt
 
         builder = PromptBuilder(Task.ENTITY_MATCHING, PipelineConfig())
         prompt = builder.build(list(beer_dataset.instances[:3]))
         parsed = parse_prompt(
-            CompletionRequest(messages=prompt.messages, model="gpt-4")
+            CompletionRequest(messages=prompt.messages, model="gpt-4"),
+            PromptParseMemo(),
         )
         for question in parsed.questions:
             assert not hasattr(question, "label")

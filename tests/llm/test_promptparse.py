@@ -11,11 +11,15 @@ from repro.core.prompts import PromptBuilder
 from repro.data.instances import Task
 from repro.errors import LLMError
 from repro.llm.base import ChatMessage, CompletionRequest
-from repro.llm.promptparse import parse_prompt
+from repro.llm.promptparse import PromptParseMemo, parse_prompt
 
 
 def _request(prompt):
     return CompletionRequest(messages=prompt.messages, model="gpt-3.5")
+
+
+def _parse(request):
+    return parse_prompt(request, PromptParseMemo())
 
 
 class TestTaskDetection:
@@ -23,7 +27,7 @@ class TestTaskDetection:
         builder = PromptBuilder(Task.DATA_IMPUTATION, PipelineConfig(),
                                 target_attribute="city")
         prompt = builder.build(list(restaurant_dataset.instances[:2]))
-        parsed = parse_prompt(_request(prompt))
+        parsed = _parse(_request(prompt))
         assert parsed.task is Task.DATA_IMPUTATION
         assert parsed.target_attribute == "city"
         assert parsed.reasoning
@@ -35,17 +39,17 @@ class TestTaskDetection:
         target = instances[0].target_attribute
         builder = PromptBuilder(Task.ERROR_DETECTION, PipelineConfig(),
                                 target_attribute=target)
-        parsed = parse_prompt(_request(builder.build(instances)))
+        parsed = _parse(_request(builder.build(instances)))
         assert parsed.task is Task.ERROR_DETECTION
         assert parsed.confirm_target
 
     def test_em_and_sm(self, beer_dataset, synthea_dataset):
         em = PromptBuilder(Task.ENTITY_MATCHING, PipelineConfig())
         sm = PromptBuilder(Task.SCHEMA_MATCHING, PipelineConfig())
-        assert parse_prompt(
+        assert _parse(
             _request(em.build(list(beer_dataset.instances[:1])))
         ).task is Task.ENTITY_MATCHING
-        assert parse_prompt(
+        assert _parse(
             _request(sm.build(list(synthea_dataset.instances[:1])))
         ).task is Task.SCHEMA_MATCHING
 
@@ -53,7 +57,7 @@ class TestTaskDetection:
         builder = PromptBuilder(Task.DATA_IMPUTATION,
                                 PipelineConfig(reasoning=False),
                                 target_attribute="city")
-        parsed = parse_prompt(
+        parsed = _parse(
             _request(builder.build(list(restaurant_dataset.instances[:1])))
         )
         assert not parsed.reasoning
@@ -64,7 +68,7 @@ class TestQuestions:
         builder = PromptBuilder(Task.DATA_IMPUTATION, PipelineConfig(),
                                 target_attribute="city")
         prompt = builder.build(list(restaurant_dataset.instances[:5]))
-        parsed = parse_prompt(_request(prompt))
+        parsed = _parse(_request(prompt))
         assert len(parsed.questions) == 5
         for number, question in enumerate(parsed.questions, start=1):
             assert question.number == number
@@ -75,7 +79,7 @@ class TestQuestions:
     def test_em_pairs_parsed(self, beer_dataset):
         builder = PromptBuilder(Task.ENTITY_MATCHING, PipelineConfig())
         prompt = builder.build(list(beer_dataset.instances[:3]))
-        parsed = parse_prompt(_request(prompt))
+        parsed = _parse(_request(prompt))
         for question in parsed.questions:
             assert question.left is not None
             assert question.right is not None
@@ -89,7 +93,7 @@ class TestExamples:
         examples = restaurant_dataset.sample_fewshot(4)
         prompt = builder.build(list(restaurant_dataset.instances[:2]),
                                fewshot_examples=examples)
-        parsed = parse_prompt(_request(prompt))
+        parsed = _parse(_request(prompt))
         assert len(parsed.examples) == 4
         for example, instance in zip(parsed.examples, examples):
             # The parsed answer is the example's gold answer line.
@@ -100,7 +104,7 @@ class TestExamples:
         examples = beer_dataset.sample_fewshot(4)
         prompt = builder.build(list(beer_dataset.instances[:2]),
                                fewshot_examples=examples)
-        parsed = parse_prompt(_request(prompt))
+        parsed = _parse(_request(prompt))
         answers = [e.answer for e in parsed.examples]
         expected = ["yes" if e.label else "no" for e in examples]
         assert answers == expected
@@ -112,7 +116,7 @@ class TestMalformedPrompts:
             messages=(ChatMessage(role="user", content="hi"),), model="m"
         )
         with pytest.raises(LLMError):
-            parse_prompt(request)
+            _parse(request)
 
     def test_unknown_task(self):
         request = CompletionRequest(
@@ -121,7 +125,7 @@ class TestMalformedPrompts:
             model="m",
         )
         with pytest.raises(LLMError):
-            parse_prompt(request)
+            _parse(request)
 
     def test_no_questions(self):
         request = CompletionRequest(
@@ -136,4 +140,4 @@ class TestMalformedPrompts:
             model="m",
         )
         with pytest.raises(LLMError):
-            parse_prompt(request)
+            _parse(request)

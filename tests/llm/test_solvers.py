@@ -6,6 +6,7 @@ import pytest
 
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.profiles import get_profile
+from repro.llm.promptparse import PromptParseMemo
 from repro.llm.solvers.common import BatchInterference, ThresholdFit, default_threshold
 from repro.llm.solvers.di import DISolver
 from repro.llm.solvers.ed import EDSolver
@@ -25,7 +26,8 @@ def oracle_kb():
 
 @pytest.fixture()
 def ed_solver(oracle_kb):
-    return EDSolver(get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65)
+    return EDSolver(get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65,
+                    PromptParseMemo())
 
 
 class TestThresholdFit:
@@ -183,7 +185,10 @@ class TestSMSolver:
         assert not _antonym_clash("start end span", "start end window")
 
     def test_lexical_score_penalizes_antonyms(self, oracle_kb):
-        solver = SMSolver(get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65)
+        solver = SMSolver(
+            get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65,
+            PromptParseMemo(),
+        )
         clash = solver.lexical_score(
             {"name": "visit_start_date", "description": "date the visit began"},
             {"name": "visit_end_date", "description": "date the visit ended"},
@@ -197,7 +202,10 @@ class TestSMSolver:
 
 class TestDISolver:
     def test_city_chain(self, oracle_kb):
-        solver = DISolver(get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65)
+        solver = DISolver(
+            get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65,
+            PromptParseMemo(),
+        )
         value, reason = solver._infer(
             {"phone": "770-933-0909", "addr": "1215 powers ferry rd."},
             "city", careful=True,
@@ -206,7 +214,10 @@ class TestDISolver:
         assert "770" in reason
 
     def test_brand_chain(self, oracle_kb):
-        solver = DISolver(get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65)
+        solver = DISolver(
+            get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65,
+            PromptParseMemo(),
+        )
         value, __ = solver._infer(
             {"name": "sony bravia tv kdl40", "description": "a tv"},
             "manufacturer", careful=True,
@@ -214,6 +225,9 @@ class TestDISolver:
         assert value == "sony"
 
     def test_no_evidence_returns_none(self, oracle_kb):
-        solver = DISolver(get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65)
+        solver = DISolver(
+            get_profile("gpt-4"), oracle_kb, random.Random(0), 0.65,
+            PromptParseMemo(),
+        )
         value, __ = solver._infer({"type": "thai"}, "city", careful=True)
         assert value is None
