@@ -28,6 +28,7 @@ from benchmarks.conftest import run_once
 from repro.eval.reporting import render_table
 from repro.ml.kmeans import KMeans
 from repro.text.embeddings import HashingEmbedder, clear_hash_cache, hash_cache_size
+from tests.text.reference_embed import embed_all_scalar
 
 #: required scalar/vectorized wall-clock ratio at the 10k corpus
 MIN_SPEEDUP_AT_10K = 5.0
@@ -74,7 +75,7 @@ def _measure(embedder, corpus):
     # Tiny calls first: numpy's lazy first-use setup (ufunc dispatch,
     # sliding-window machinery) must not be billed to either path.
     embedder.embed_all(corpus[:32])
-    embedder.embed_all_scalar(corpus[:8])
+    embed_all_scalar(embedder, corpus[:8])
 
     clear_hash_cache()
     started = time.perf_counter()
@@ -83,7 +84,7 @@ def _measure(embedder, corpus):
 
     warm_matrix, warm_s = _best_of(lambda: embedder.embed_all(corpus), rounds=3)
     scalar_matrix, scalar_s = _best_of(
-        lambda: embedder.embed_all_scalar(corpus), rounds=1
+        lambda: embed_all_scalar(embedder, corpus), rounds=1
     )
     return {
         "cold_s": cold_s, "warm_s": warm_s, "scalar_s": scalar_s,

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.batching import make_batches
 from repro.core.config import PipelineConfig
-from repro.core.feature_selection import select_features
-from repro.core.pipeline import Preprocessor
+from repro.core.pipeline import plan_units, run_inputs
 from repro.core.prep import PrepArtifacts
-from repro.core.prompts import PromptBuilder
-from repro.core.tasks import target_attribute_of
-from repro.data.instances import Instance, PreprocessingDataset
-from repro.errors import EvaluationError
+from repro.data.instances import PreprocessingDataset
 from repro.llm.profiles import get_profile
 from repro.text.tokenize import count_message_tokens
 
@@ -74,51 +69,21 @@ def estimate_cost(
     """
     config = config or PipelineConfig()
     profile = get_profile(config.model)
-    instances: list[Instance] = list(dataset.instances)
-    if not instances:
-        raise EvaluationError(f"dataset {dataset.name!r} has no instances")
-    if config.feature_selection is not None:
-        instances = [
-            select_features(inst, config.feature_selection)
-            for inst in instances
-        ]
-    n_shots = config.fewshot_for(dataset.task)
-    fewshot = dataset.sample_fewshot(n_shots, seed=config.seed)
-    if config.feature_selection is not None:
-        fewshot = [
-            select_features(inst, config.feature_selection) for inst in fewshot
-        ]
+    instances, fewshot = run_inputs(dataset, config)
+    units = plan_units(
+        dataset.task, config, instances, fewshot, PrepArtifacts()
+    )
 
     per_answer = _ANSWER_TOKENS + (_REASON_TOKENS if config.reasoning else 0)
+    n_requests = len(units)
     prompt_tokens = 0
     completion_tokens = 0
-    n_requests = 0
-
-    prep = PrepArtifacts()
-    for group_indices in Preprocessor._group_by_target(instances):
-        group = [instances[i] for i in group_indices]
-        target = target_attribute_of(group[0])
-        builder = PromptBuilder(
-            dataset.task, config, target_attribute=target, artifacts=prep
+    for unit in units:
+        prompt = unit.builder.build(unit.batch, fewshot_examples=unit.fewshot)
+        prompt_tokens += count_message_tokens(
+            [(m.role, m.content) for m in prompt.messages]
         )
-        group_fewshot = Preprocessor._fewshot_for_target(
-            fewshot, dataset.task, target
-        )
-        batches = make_batches(
-            group,
-            batch_size=config.batch_size_for_model(),
-            mode=config.batching,
-            seed=config.seed,
-            artifacts=prep,
-        )
-        for batch_positions in batches:
-            batch = [group[p] for p in batch_positions]
-            prompt = builder.build(batch, fewshot_examples=group_fewshot)
-            n_requests += 1
-            prompt_tokens += count_message_tokens(
-                [(m.role, m.content) for m in prompt.messages]
-            )
-            completion_tokens += per_answer * len(batch)
+        completion_tokens += per_answer * len(unit.batch)
 
     seconds = (
         n_requests * profile.latency.base_s

@@ -144,6 +144,74 @@ class _BatchUnit:
     target: str | None
 
 
+def run_inputs(
+    dataset: PreprocessingDataset, config: PipelineConfig
+) -> tuple[list[Instance], list[Instance]]:
+    """The instances a run answers and its few-shot pool, both after
+    feature selection."""
+    instances: list[Instance] = list(dataset.instances)
+    if not instances:
+        raise EvaluationError(f"dataset {dataset.name!r} has no instances")
+    n_shots = config.fewshot_for(dataset.task)
+    fewshot = dataset.sample_fewshot(n_shots, seed=config.seed)
+    if config.feature_selection is not None:
+        instances = [
+            select_features(inst, config.feature_selection)
+            for inst in instances
+        ]
+        fewshot = [
+            select_features(inst, config.feature_selection)
+            for inst in fewshot
+        ]
+    return instances, fewshot
+
+
+def plan_units(
+    task: Task,
+    config: PipelineConfig,
+    instances: list[Instance],
+    fewshot: list[Instance],
+    prep: PrepArtifacts,
+) -> list[_BatchUnit]:
+    """Materialize the full batch plan before any completion call.
+
+    Exactly the grouping/batching the historical per-group loop
+    performed, in the same order; hoisting it ahead of execution is
+    behavior-neutral because batching never looks at replies, and the
+    prep caches are keyed by content (hit/miss totals are insensitive
+    to when each group is first touched).  Needs no client, so the
+    dry-run estimator prices the very plan a run executes.
+    """
+    units: list[_BatchUnit] = []
+    for group_indices in Preprocessor._group_by_target(instances):
+        group = [instances[i] for i in group_indices]
+        target = target_attribute_of(group[0])
+        builder = PromptBuilder(
+            task, config, target_attribute=target, artifacts=prep,
+        )
+        group_fewshot = Preprocessor._fewshot_for_target(fewshot, task, target)
+        batches = make_batches(
+            group,
+            batch_size=config.batch_size_for_model(),
+            mode=config.batching,
+            seed=config.seed,
+            artifacts=prep,
+        )
+        for batch_positions in batches:
+            indices = [group_indices[p] for p in batch_positions]
+            seq = len(units)
+            units.append(_BatchUnit(
+                seq=seq,
+                key=_unit_key(seq, target, indices),
+                builder=builder,
+                fewshot=group_fewshot,
+                batch=[group[p] for p in batch_positions],
+                indices=indices,
+                target=target,
+            ))
+    return units
+
+
 @dataclass
 class PipelineResult:
     """Everything one run produced.
@@ -334,23 +402,7 @@ class Preprocessor:
         a structured context diff.
         """
         config = self._config
-        instances: list[Instance] = list(dataset.instances)
-        if not instances:
-            raise EvaluationError(f"dataset {dataset.name!r} has no instances")
-
-        if config.feature_selection is not None:
-            instances = [
-                select_features(inst, config.feature_selection)
-                for inst in instances
-            ]
-
-        n_shots = config.fewshot_for(dataset.task)
-        fewshot = dataset.sample_fewshot(n_shots, seed=config.seed)
-        if config.feature_selection is not None:
-            fewshot = [
-                select_features(inst, config.feature_selection)
-                for inst in fewshot
-            ]
+        instances, fewshot = run_inputs(dataset, config)
 
         temperature = (
             config.temperature
@@ -385,7 +437,7 @@ class Preprocessor:
         # dataset and config (no completion call influences it), so the
         # plan of a resumed run matches the interrupted run batch for
         # batch — which is what makes journal records addressable.
-        units = self._plan_units(dataset, instances, fewshot, prep)
+        units = plan_units(dataset.task, config, instances, fewshot, prep)
 
         session = None
         start_index = 0
@@ -471,54 +523,6 @@ class Preprocessor:
             observation=obs,
             prep=prep.stats,
         )
-
-    def _plan_units(
-        self,
-        dataset: PreprocessingDataset,
-        instances: list[Instance],
-        fewshot: list[Instance],
-        prep: PrepArtifacts,
-    ) -> list[_BatchUnit]:
-        """Materialize the full batch plan before any completion call.
-
-        Exactly the grouping/batching the historical per-group loop
-        performed, in the same order; hoisting it ahead of execution is
-        behavior-neutral because batching never looks at replies, and the
-        prep caches are keyed by content (hit/miss totals are insensitive
-        to when each group is first touched).
-        """
-        config = self._config
-        units: list[_BatchUnit] = []
-        for group_indices in self._group_by_target(instances):
-            group = [instances[i] for i in group_indices]
-            target = target_attribute_of(group[0])
-            builder = PromptBuilder(
-                dataset.task, config, target_attribute=target,
-                artifacts=prep,
-            )
-            group_fewshot = self._fewshot_for_target(
-                fewshot, dataset.task, target
-            )
-            batches = make_batches(
-                group,
-                batch_size=config.batch_size_for_model(),
-                mode=config.batching,
-                seed=config.seed,
-                artifacts=prep,
-            )
-            for batch_positions in batches:
-                indices = [group_indices[p] for p in batch_positions]
-                seq = len(units)
-                units.append(_BatchUnit(
-                    seq=seq,
-                    key=_unit_key(seq, target, indices),
-                    builder=builder,
-                    fewshot=group_fewshot,
-                    batch=[group[p] for p in batch_positions],
-                    indices=indices,
-                    target=target,
-                ))
-        return units
 
     def _run_context(
         self,

@@ -49,8 +49,8 @@ over such a schema directly.  ``run --resilience`` routes the run through
 a scripted backend brownout behind the failover/hedging/AIMD stack and
 prints the adaptive accounting; ``resilience-bench`` measures what that
 stack buys (quarantine avoidance, tail latency) and writes
-``BENCH_resilience.json``; ``chaos --resilience`` runs the crash→resume
-matrix through degraded backends.
+``BENCH_resilience.json``.  The ``chaos`` matrix drills healthy cells of
+all four tasks and degraded (brownout and blackout) cells alike.
 """
 
 from __future__ import annotations
@@ -260,23 +260,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # healthy secondary stands by behind the failover router; the
         # executor runs with the adaptive (AIMD + hedging) config.
         from repro.core.executor import ExecutorConfig
-        from repro.llm.faults import DegradedClient
         from repro.resilience import (
-            FailoverClient,
             ResilienceConfig,
             brownout_plan,
+            degraded_pool,
         )
 
-        client = FailoverClient(
-            [
-                ("primary", 0, DegradedClient(
-                    client, brownout_plan(seed=args.seed),
-                    backend_name="primary",
-                )),
-                ("secondary", 1, SimulatedLLM(args.model, seed=args.seed + 1)),
-            ],
-            ResilienceConfig(),
-        )
+        client = degraded_pool(
+            args.model, args.seed, brownout_plan(seed=args.seed)
+        ).build()
         executor_config = ExecutorConfig(resilience=ResilienceConfig())
     try:
         run = evaluate_pipeline(
@@ -334,15 +326,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run the crash→resume determinism matrix (the CI chaos job)."""
-    from repro.runtime import CRASH_SITES
-
-    if args.resilience:
-        from repro.resilience import (
-            default_resilience_chaos_cells as default_chaos_cells,
-            run_resilience_matrix as run_crash_matrix,
-        )
-    else:
-        from repro.runtime import default_chaos_cells, run_crash_matrix
+    from repro.runtime import CRASH_SITES, default_chaos_cells, run_crash_matrix
 
     cells = default_chaos_cells()
     if args.cell:
@@ -872,10 +856,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="where to write the drift report "
                                 "(default: $REPRO_CHAOS_DIFF_PATH or "
                                 "CHAOS_DIFF.txt)")
-    chaos_cmd.add_argument("--resilience", action="store_true",
-                           help="run the matrix through scripted-degraded "
-                                "backends behind the failover stack "
-                                "(brownout and blackout scenarios)")
     chaos_cmd.set_defaults(handler=_cmd_chaos)
     resilience_bench_cmd = sub.add_parser(
         "resilience-bench",

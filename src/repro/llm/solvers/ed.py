@@ -229,8 +229,14 @@ class EDSolver:
     def solve(self, prompt: ParsedPrompt) -> list[SolvedAnswer]:
         target = prompt.target_attribute or ""
         careful = prompt.reasoning
+        # The fit reads the batch target only for an example that names no
+        # target of its own, so only then does the target key the fit.
+        fit_target = target if any(
+            example.question.fields is not None and not example.question.target
+            for example in prompt.examples
+        ) else None
         fit = self._memo.fit(
-            ("ed", target, careful, examples_key(prompt.examples)),
+            ("ed", fit_target, careful, examples_key(prompt.examples)),
             lambda: self._fit_threshold(prompt.examples, target, careful),
         )
         interference = BatchInterference(

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.degradation import DegradationPlan, Episode
+from repro.resilience.pool import degraded_pool
 
 #: p-quantile reported for the hedged-vs-unhedged tail comparison
 TAIL_QUANTILE = 0.95
@@ -49,30 +50,6 @@ def bench_plan(seed: int = 0) -> DegradationPlan:
         Episode(kind="blackout", start_s=33.0, duration_s=600.0,
                 intensity=1.0, retry_after_s=1.0),
     ))
-
-
-def _degraded_primary(model: str, seed: int, plan: DegradationPlan):
-    from repro.llm.faults import DegradedClient
-    from repro.llm.simulated import SimulatedLLM
-
-    return DegradedClient(
-        SimulatedLLM(model, seed=seed), plan, backend_name="primary"
-    )
-
-
-def _resilient_stack(
-    model: str, seed: int, plan: DegradationPlan, config: ResilienceConfig
-):
-    from repro.llm.simulated import SimulatedLLM
-    from repro.resilience.router import FailoverClient
-
-    return FailoverClient(
-        [
-            ("primary", 0, _degraded_primary(model, seed, plan)),
-            ("secondary", 1, SimulatedLLM(model, seed=seed + 1)),
-        ],
-        config,
-    )
 
 
 def _arm_payload(run, extra: dict | None = None) -> dict:
@@ -128,19 +105,22 @@ def run_resilience_bench(
     )
     plan = bench_plan(seed)
     resilience = ResilienceConfig()
+    pool = degraded_pool(model, seed, plan, resilience)
 
+    # The unmitigated arm runs the pool's degraded primary on its own.
+    primary = pool.members[0].backend
     unmitigated = evaluate_pipeline(
-        _degraded_primary(model, seed, plan), config, dataset, keep_raw=True
+        primary.build(), config, dataset, keep_raw=True
     )
 
-    resilient_client = _resilient_stack(model, seed, plan, resilience)
+    resilient_client = pool.build()
     resilient = evaluate_pipeline(
         resilient_client, config, dataset, keep_raw=True,
         executor_config=ExecutorConfig(resilience=resilience),
     )
 
     unhedged_config = replace(resilience, hedge=False)
-    unhedged_client = _resilient_stack(model, seed, plan, unhedged_config)
+    unhedged_client = replace(pool, resilience=unhedged_config).build()
     unhedged = evaluate_pipeline(
         unhedged_client, config, dataset, keep_raw=True,
         executor_config=ExecutorConfig(resilience=unhedged_config),

@@ -76,3 +76,32 @@ class PoolBackend:
             ],
             "resilience": dataclasses.asdict(self.resilience),
         }
+
+
+def degraded_pool(
+    model: str,
+    seed: int,
+    plan,
+    resilience: ResilienceConfig = ResilienceConfig(),
+) -> PoolBackend:
+    """The degraded-primary failover pair every resilience drill runs on.
+
+    ``primary`` (priority 0) is the simulated model behind the scripted
+    degradation ``plan``; ``secondary`` (priority 1) is a healthy model on
+    the next seed.  Used by the degraded chaos cells, ``run --resilience``
+    and the resilience benchmark.
+    """
+    # Imported lazily: repro.llm.backend imports this package.
+    from repro.llm.backend import DegradedBackend, SimulatedBackend
+
+    return PoolBackend(
+        members=(
+            PoolMember(
+                "primary",
+                DegradedBackend(SimulatedBackend(model, seed), plan, "primary"),
+                priority=0,
+            ),
+            PoolMember("secondary", SimulatedBackend(model, seed + 1), priority=1),
+        ),
+        resilience=resilience,
+    )

@@ -12,13 +12,15 @@ makes such runs *restartable*:
   captures and restores the full mutable state (executor lanes, RNG,
   rate-limit window, client call counter, metrics, spans) so a resumed
   run is bit-identical to an uninterrupted one;
-- :mod:`repro.runtime.chaos` — crash-point injection (mid-batch,
-  pre-journal, mid-journal-append) and the crash→resume trial driver the
-  determinism property suite and the CI chaos matrix run on.
+- :mod:`repro.runtime.chaos` — the one crash→resume harness: crash-point
+  injection (mid-batch, pre-journal, mid-journal-append) over healthy and
+  degraded backend stacks, the trial driver the determinism property
+  suite runs on, and the CI chaos matrix.
 """
 
 from repro.runtime.chaos import (
     CRASH_SITES,
+    SCENARIOS,
     ChaosCell,
     ChaosTrial,
     JournalChaos,
@@ -51,6 +53,7 @@ __all__ = [
     "ResumeMismatchError",
     "RunCheckpoint",
     "RunJournal",
+    "SCENARIOS",
     "default_chaos_cells",
     "result_payload",
     "run_crash_matrix",

@@ -9,12 +9,22 @@ line) — resuming from the journal must produce a final result
 quarantine, same token accounting, same virtual-clock makespan, same
 metrics snapshot, same span trace, same manifest.
 
+This is the one crash→resume harness.  A :class:`ChaosCell` is plain
+data; its client stack is a picklable :class:`~repro.llm.backend.Backend`
+— a healthy simulated model, or, for a cell with a degradation
+``scenario``, the degraded-primary failover pool
+(:func:`~repro.resilience.pool.degraded_pool`) under the adaptive
+executor.  Every run of a trial wraps that backend in a
+:class:`~repro.llm.backend.FaultBackend`, so the crashed run only arms a
+plan inside the same stack its baseline and resume build.
+
 :func:`run_crash_trial` drives one (cell, site) experiment end to end:
 baseline run → crashed run → resumed run → canonical-payload diff.
-:func:`run_crash_matrix` sweeps the default cell grid (all four tasks at
-concurrency 1 and 2) across every site — the CI chaos job — and writes a
-``CHAOS_DIFF.txt`` artifact plus the offending journal when a trial
-diverges.
+:func:`run_crash_matrix` sweeps the default cell grid across every site
+— the CI chaos job — and writes a ``CHAOS_DIFF.txt`` artifact plus the
+offending journal when a trial diverges.  The sharded worker-kill drill
+(:func:`repro.shard.chaos.run_shard_crash_trial`) picks its crash points
+and builds its :class:`ChaosTrial` through the same helpers.
 """
 
 from __future__ import annotations
@@ -30,13 +40,21 @@ from repro.runtime.checkpoint import JournalChaos, RunCheckpoint
 #: every point the chaos suite kills a run at
 CRASH_SITES: tuple[str, ...] = ("mid_batch", "pre_journal", "mid_journal")
 
+#: the degradation scenarios a cell's primary backend can run through
+SCENARIOS: tuple[str, ...] = ("brownout", "blackout")
+
 #: where the CI chaos job's drift report is written
 CHAOS_DIFF_ENV = "REPRO_CHAOS_DIFF_PATH"
 
 
 @dataclass(frozen=True)
 class ChaosCell:
-    """One (task, config) point the crash matrix drills."""
+    """One (task, config, backend) point the crash matrix drills.
+
+    ``scenario`` (``None`` or one of :data:`SCENARIOS`) picks the client
+    stack: a healthy simulated model, or the degraded-primary failover
+    pool with the adaptive executor.
+    """
 
     name: str
     dataset: str
@@ -46,6 +64,14 @@ class ChaosCell:
     batching: str = "random"
     concurrency: int = 1
     degradation: str = "off"
+    scenario: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.scenario is not None and self.scenario not in SCENARIOS:
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; "
+                f"expected one of {SCENARIOS}"
+            )
 
     def config(self):
         from repro.core.config import PipelineConfig
@@ -59,16 +85,38 @@ class ChaosCell:
             degradation=self.degradation,
         )
 
+    def backend(self):
+        """The cell's client stack, rebuilt identically for every run."""
+        from repro.llm.backend import SimulatedBackend
+        from repro.resilience import blackout_plan, brownout_plan, degraded_pool
+
+        if self.scenario is None:
+            return SimulatedBackend(self.model, self.seed)
+        if self.scenario == "blackout":
+            plan = blackout_plan(seed=self.seed, start_s=5.0, duration_s=20.0)
+        else:
+            plan = brownout_plan(seed=self.seed)
+        return degraded_pool(self.model, self.seed, plan)
+
+    def executor_config(self):
+        if self.scenario is None:
+            return None
+        from repro.core.executor import ExecutorConfig
+        from repro.resilience import ResilienceConfig
+
+        return ExecutorConfig(resilience=ResilienceConfig())
+
 
 def default_chaos_cells() -> tuple[ChaosCell, ...]:
-    """The CI matrix: all four tasks, sequential and concurrent."""
+    """The CI matrix: all four tasks, then ED under both degradation
+    scenarios, each sequential and concurrent."""
     bases = (
         ("ed_adult", "adult", 24),
         ("di_restaurant", "restaurant", 18),
         ("sm_synthea", "synthea", 24),
         ("em_beer", "beer", 24),
     )
-    return tuple(
+    healthy = tuple(
         ChaosCell(
             f"{name}_c{concurrency}",
             dataset=dataset,
@@ -78,6 +126,19 @@ def default_chaos_cells() -> tuple[ChaosCell, ...]:
         for name, dataset, size in bases
         for concurrency in (1, 2)
     )
+    degraded = tuple(
+        ChaosCell(
+            f"ed_adult_{scenario}_c{concurrency}",
+            dataset="adult",
+            size=24,
+            concurrency=concurrency,
+            degradation="ladder",
+            scenario=scenario,
+        )
+        for scenario in SCENARIOS
+        for concurrency in (1, 2)
+    )
+    return healthy + degraded
 
 
 @dataclass(frozen=True)
@@ -144,6 +205,48 @@ def result_payload(run) -> dict:
     return json.loads(canonical_json(payload))
 
 
+def crash_point(site: str, baseline_records) -> int:
+    """Where a drill kills a run, from its uninterrupted baseline journal.
+
+    The journal sites die at batch sequence ``n // 2``; ``mid_batch``
+    dies on the first completion call after batch ``n // 2 - 1`` was
+    journaled (the outermost fault injector's call count is part of every
+    record's client state).  Either way ``n // 2`` batches survive the
+    crash, so a baseline of two or more batches always leaves a journaled
+    prefix for the resume to replay.
+    """
+    n_batches = len(baseline_records)
+    if site != "mid_batch":
+        return n_batches // 2
+    if n_batches < 2:
+        return 1
+    return baseline_records[n_batches // 2 - 1].state["client"]["n_calls"] + 1
+
+
+def finish_trial(
+    cell: str,
+    site: str,
+    crashed: bool,
+    baseline: dict,
+    resumed: dict,
+    journal: str | Path,
+    n_batches_journaled: int,
+) -> ChaosTrial:
+    """Diff a resumed payload against its baseline into a trial."""
+    from repro.testing.golden import diff_payloads
+
+    diffs = [diff.render() for diff in diff_payloads(baseline, resumed)]
+    return ChaosTrial(
+        cell=cell,
+        site=site,
+        crashed=crashed,
+        identical=not diffs,
+        n_batches_journaled=n_batches_journaled,
+        diffs=diffs if crashed else ["the injected crash never fired", *diffs],
+        journal=str(journal),
+    )
+
+
 def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTrial:
     """Crash one cell at ``site``, resume it, and compare bit for bit."""
     # Imported lazily so the runtime package stays importable without the
@@ -151,10 +254,9 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     from repro.datasets import load_dataset
     from repro.errors import InjectedCrashError, LLMError
     from repro.eval.harness import evaluate_pipeline
-    from repro.llm.faults import Fault, FaultInjectingClient
-    from repro.llm.simulated import SimulatedLLM
+    from repro.llm.backend import FaultBackend
+    from repro.llm.faults import Fault
     from repro.runtime.journal import RunJournal
-    from repro.testing.golden import diff_payloads
 
     if site not in CRASH_SITES:
         raise LLMError(
@@ -164,67 +266,47 @@ def run_crash_trial(cell: ChaosCell, site: str, workdir: str | Path) -> ChaosTri
     workdir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(cell.dataset, size=cell.size, seed=cell.seed)
     config = cell.config()
+    backend = cell.backend()
+    executor_config = cell.executor_config()
 
-    def fresh_client(plan=None):
-        return FaultInjectingClient(
-            SimulatedLLM(cell.model, seed=cell.seed), plan=plan or {}
+    def run(checkpoint: RunCheckpoint, plan=()):
+        return evaluate_pipeline(
+            FaultBackend(backend, plan).build(), config, dataset,
+            keep_raw=True, checkpoint=checkpoint,
+            executor_config=executor_config,
         )
 
-    # 1. Baseline: the uninterrupted run every crash must reproduce.  It
-    # journals too, which tells us how many batches the run has.
+    # 1. Baseline: the uninterrupted run every crash must reproduce.  Its
+    # journal says where each batch ended, which places the crash.
     baseline_journal = workdir / f"{cell.name}.baseline.journal"
     baseline_journal.unlink(missing_ok=True)
-    baseline = evaluate_pipeline(
-        fresh_client(), config, dataset, keep_raw=True,
-        checkpoint=RunCheckpoint(baseline_journal),
-    )
+    baseline = run(RunCheckpoint(baseline_journal))
     __, baseline_records = RunJournal.load(baseline_journal)
-    n_batches = len(baseline_records)
-    n_calls = baseline.result.n_requests
+    at = crash_point(site, baseline_records)
 
-    # 2. Crash roughly mid-run at the requested site.
+    # 2. Crash mid-run at the requested site.
     crash_journal = workdir / f"{cell.name}.{site}.journal"
     crash_journal.unlink(missing_ok=True)
-    if site == "mid_batch":
-        at_call = max(1, n_calls // 2)
-        crash_client = fresh_client(
-            {at_call: Fault(kind="crash", message=f"chaos at call {at_call}")}
-        )
-        checkpoint = RunCheckpoint(crash_journal)
-    else:
-        crash_client = fresh_client()
-        checkpoint = RunCheckpoint(
-            crash_journal,
-            chaos=JournalChaos(site=site, at_seq=n_batches // 2),
-        )
     crashed = False
     try:
-        evaluate_pipeline(
-            crash_client, config, dataset, keep_raw=True,
-            checkpoint=checkpoint,
-        )
+        if site == "mid_batch":
+            run(RunCheckpoint(crash_journal), {
+                at: Fault(kind="crash", message=f"chaos at call {at}"),
+            })
+        else:
+            run(RunCheckpoint(
+                crash_journal, chaos=JournalChaos(site=site, at_seq=at)
+            ))
     except InjectedCrashError:
         crashed = True
-
     __, crash_records, __ = RunJournal.recover(crash_journal)
 
     # 3. Resume from whatever the crash left on disk, then compare.
-    resumed = evaluate_pipeline(
-        fresh_client(), config, dataset, keep_raw=True,
-        checkpoint=RunCheckpoint(crash_journal),
-    )
-    diffs = diff_payloads(result_payload(baseline), result_payload(resumed))
-    rendered = [diff.render() for diff in diffs]
-    if not crashed:
-        rendered.insert(0, "the injected crash never fired")
-    return ChaosTrial(
-        cell=cell.name,
-        site=site,
-        crashed=crashed,
-        identical=not diffs,
-        n_batches_journaled=len(crash_records),
-        diffs=rendered,
-        journal=str(crash_journal),
+    resumed = run(RunCheckpoint(crash_journal))
+    return finish_trial(
+        cell.name, site, crashed,
+        result_payload(baseline), result_payload(resumed),
+        crash_journal, len(crash_records),
     )
 
 

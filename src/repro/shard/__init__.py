@@ -8,7 +8,7 @@ output is bit-identical at any worker count.  :mod:`repro.shard.chaos`
 drills worker kills; :mod:`repro.shard.bench` measures the scaling curve.
 """
 
-from repro.shard.chaos import ShardChaosTrial, run_shard_crash_trial
+from repro.shard.chaos import run_shard_crash_trial
 from repro.shard.merge import (
     MergedRun,
     combine,
@@ -43,7 +43,6 @@ __all__ = [
     "SHARD_CRASH_SITES",
     "MergedRun",
     "ShardChaos",
-    "ShardChaosTrial",
     "ShardPlan",
     "ShardSpec",
     "ShardTask",

@@ -1,7 +1,7 @@
 """The shard plan: a pure function of (dataset digest, config).
 
 Horizontal scale-out starts with a *deterministic partition*.  Exactly as
-``Preprocessor._plan_units`` hoists the full batch plan ahead of any
+:func:`repro.core.pipeline.plan_units` hoists the full batch plan ahead of any
 completion call, :func:`plan_shards` materializes the full shard plan
 ahead of any worker process: which instances belong to which shard is
 decided once, from the dataset's content digest and the pipeline

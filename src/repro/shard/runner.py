@@ -42,12 +42,13 @@ from pathlib import Path
 from repro.data.instances import PreprocessingDataset
 from repro.errors import InjectedCrashError, ShardError
 from repro.llm.backend import Backend
+from repro.runtime.chaos import CRASH_SITES
 from repro.shard.merge import MergedRun, merge_shards
 from repro.shard.plan import ShardPlan, ShardSpec, plan_shards
 
-#: the crash sites a ShardChaos can target (superset of the single-run
-#: sites: the same three points, but inside one chosen worker)
-SHARD_CRASH_SITES: tuple[str, ...] = ("mid_batch", "pre_journal", "mid_journal")
+#: the crash sites a ShardChaos can target: the single-run sites, but
+#: inside one chosen worker
+SHARD_CRASH_SITES: tuple[str, ...] = CRASH_SITES
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,20 @@ from repro.errors import EvaluationError
 
 
 class TestEstimateCost:
-    def test_prompt_tokens_match_real_run_exactly(self, restaurant_dataset):
+    @pytest.mark.parametrize(
+        "fixture",
+        ["restaurant_dataset", "adult_dataset", "synthea_dataset",
+         "beer_dataset"],
+        ids=["restaurant", "adult", "synthea", "beer"],
+    )
+    def test_prompt_tokens_match_real_run_exactly(self, fixture, request):
         """The estimator builds the same prompts the pipeline sends."""
+        dataset = request.getfixturevalue(fixture)
         config = PipelineConfig(model="gpt-4")
-        estimate = estimate_cost(restaurant_dataset, config)
-        real = Preprocessor(SimulatedLLM("gpt-4"), config).run(restaurant_dataset)
+        estimate = estimate_cost(dataset, config)
+        real = Preprocessor(SimulatedLLM("gpt-4"), config).run(dataset)
         # No retries happened (gpt-4 fidelity ~1), so prompt tokens agree.
+        assert real.n_format_retries == 0
         assert estimate.prompt_tokens == real.usage.prompt_tokens
         assert estimate.n_requests == real.n_requests
 

@@ -273,3 +273,23 @@ class TestShardCli:
         # parallel stage execution is deterministic run to run
         assert main(["flow", "--reference", "--workers", "2"]) == 0
         assert capsys.readouterr().out == parallel
+
+
+class TestChaosCli:
+    def test_one_matrix_drills_healthy_and_degraded_cells(
+        self, tmp_path, capsys
+    ):
+        assert main([
+            "chaos", "--cell", "di_restaurant_c1",
+            "--cell", "ed_adult_blackout_c2", "--site", "pre_journal",
+            "--workdir", str(tmp_path / "chaos"),
+            "--artifact", str(tmp_path / "CHAOS_DIFF.txt"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "chaos di_restaurant_c1 @ pre_journal: OK" in out
+        assert "chaos ed_adult_blackout_c2 @ pre_journal: OK" in out
+        assert "chaos: 2/2 trial(s) resumed bit-identically" in out
+
+    def test_resilience_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["chaos", "--resilience"])

@@ -13,6 +13,7 @@ from repro import PipelineConfig, Preprocessor, SimulatedLLM
 from repro.core.batching import make_batches
 from repro.llm.cache import CachingClient
 from repro.text.embeddings import HashingEmbedder
+from tests.text.reference_embed import embed_all_scalar
 
 CONCURRENCIES = (1, 2, 8)
 
@@ -141,7 +142,7 @@ class TestVectorizedPrepMatchesScalarPath:
         dataset = request.getfixturevalue(fixture_name)
         vectorized = _run_cluster(dataset, concurrency)
         monkeypatch.setattr(
-            HashingEmbedder, "embed_all", HashingEmbedder.embed_all_scalar
+            HashingEmbedder, "embed_all", embed_all_scalar
         )
         scalar = _run_cluster(dataset, concurrency)
         assert scalar.predictions == vectorized.predictions
@@ -155,7 +156,7 @@ class TestVectorizedPrepMatchesScalarPath:
         instances = list(dataset.instances)
         vectorized = make_batches(instances, 7, mode="cluster", seed=0)
         monkeypatch.setattr(
-            HashingEmbedder, "embed_all", HashingEmbedder.embed_all_scalar
+            HashingEmbedder, "embed_all", embed_all_scalar
         )
         scalar = make_batches(instances, 7, mode="cluster", seed=0)
         assert scalar == vectorized

@@ -10,6 +10,7 @@ by the distinct prompt prefixes it has seen.
 
 import pytest
 
+from repro.llm.promptparse import PromptParseMemo, parse_prompt
 from repro.llm.simulated import SimulatedLLM
 from tests.llm.reference_decode import ReferenceLLM, build_decode_requests
 
@@ -118,3 +119,19 @@ class TestMemoBehaviour:
         few, many = entry_counts(5), entry_counts(40)
         assert few == many
         assert few["systems"] == 1
+
+    def test_ed_prompts_sharing_a_fewshot_block_share_one_fit(self):
+        # Every ED example names its own target attribute, so the threshold
+        # fit depends on the few-shot block alone: prompts that differ only
+        # in their batch target must reuse one fit entry.
+        requests = build_decode_requests(12, dataset="adult")
+        targets = {
+            parse_prompt(request, PromptParseMemo()).target_attribute
+            for request in requests
+        }
+        assert len(targets) > 1
+        client = SimulatedLLM("gpt-3.5", seed=0)
+        client.complete_batch(requests)
+        counts = client.memo.entry_counts()
+        assert counts["examples"] == 1
+        assert counts["fits"] == 1

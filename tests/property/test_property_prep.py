@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.ml.kmeans import KMeans
 from repro.text.embeddings import HashingEmbedder
+from tests.text.reference_embed import embed_all_scalar
 
 #: record-ish texts plus adversarial unicode; blank/empty included
 texts = st.lists(
@@ -41,7 +42,7 @@ class TestVectorizedEmbeddingEquality:
     def test_embed_all_matches_scalar_bitwise(self, corpus, params):
         dim, ngram = params
         embedder = HashingEmbedder(dim=dim, ngram=ngram)
-        scalar = embedder.embed_all_scalar(corpus)
+        scalar = embed_all_scalar(embedder, corpus)
         vectorized = embedder.embed_all(corpus)
         assert scalar.shape == vectorized.shape == (len(corpus), dim)
         assert (scalar == vectorized).all()

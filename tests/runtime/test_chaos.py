@@ -9,6 +9,7 @@ from repro.runtime.chaos import (
     run_crash_matrix,
     run_crash_trial,
 )
+from repro.runtime.journal import RunJournal
 
 
 @pytest.fixture(scope="module")
@@ -18,12 +19,12 @@ def cell():
 
 class TestDefaultCells:
     def test_matrix_covers_all_four_tasks_at_both_concurrencies(self):
-        cells = default_chaos_cells()
+        cells = [cell for cell in default_chaos_cells() if cell.scenario is None]
         datasets = {cell.dataset for cell in cells}
         assert datasets == {"adult", "restaurant", "synthea", "beer"}
         assert {cell.concurrency for cell in cells} == {1, 2}
         assert len(cells) == 8
-        assert len({cell.name for cell in cells}) == 8
+        assert len({cell.name for cell in default_chaos_cells()}) == 12
 
     def test_sites_cover_batch_and_journal_crashes(self):
         assert CRASH_SITES == ("mid_batch", "pre_journal", "mid_journal")
@@ -76,3 +77,19 @@ class TestMatrixDriver:
         assert len(trials) == 1
         assert trials[0].ok
         assert not artifact.exists()
+
+
+class TestMidBatchDrill:
+    @pytest.mark.parametrize(
+        "cell", default_chaos_cells(), ids=lambda cell: cell.name
+    )
+    def test_crash_lands_after_a_journaled_batch(self, cell, tmp_path):
+        # A mid_batch crash must leave a journaled prefix for the resume to
+        # replay, as the journal sites do: half the baseline's batches.
+        trial = run_crash_trial(cell, "mid_batch", tmp_path)
+        assert trial.ok, trial.render()
+        __, baseline = RunJournal.load(
+            tmp_path / f"{cell.name}.baseline.journal"
+        )
+        assert len(baseline) >= 2
+        assert trial.n_batches_journaled == len(baseline) // 2

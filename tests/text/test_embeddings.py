@@ -10,6 +10,7 @@ from repro.text.embeddings import (
     hash_cache_size,
     nearest_neighbors,
 )
+from tests.text.reference_embed import embed_all_scalar
 
 
 class TestHashingEmbedder:
@@ -62,7 +63,7 @@ class TestVectorizedKernel:
     @pytest.mark.parametrize("ngram", [0, 1, 2, 3, 4, 5, 9])
     def test_bit_identical_to_scalar(self, ngram):
         embedder = HashingEmbedder(dim=96, ngram=ngram)
-        scalar = embedder.embed_all_scalar(self.CORPUS)
+        scalar = embed_all_scalar(embedder, self.CORPUS)
         vectorized = embedder.embed_all(self.CORPUS)
         assert (scalar == vectorized).all()
 
@@ -82,8 +83,8 @@ class TestVectorizedKernel:
         corpus = ["delta epsilon zeta"]
         small = HashingEmbedder(dim=16).embed_all(corpus)
         large = HashingEmbedder(dim=512).embed_all(corpus)
-        assert (small == HashingEmbedder(dim=16).embed_all_scalar(corpus)).all()
-        assert (large == HashingEmbedder(dim=512).embed_all_scalar(corpus)).all()
+        assert (small == embed_all_scalar(HashingEmbedder(dim=16), corpus)).all()
+        assert (large == embed_all_scalar(HashingEmbedder(dim=512), corpus)).all()
 
 
 class TestNeighbors:
